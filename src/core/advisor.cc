@@ -127,6 +127,42 @@ StatusOr<Advisor> Advisor::CreateSparse(const CubeSchema& schema,
   return advisor;
 }
 
+SelectionResult RunAlgorithm(const QueryViewGraph& graph,
+                             const AdvisorConfig& config,
+                             const ResumePicks* resume) {
+  // Copies the greedy options and layers the run-level control and resume
+  // over them.
+  auto with_run_inputs = [&](auto options) {
+    if (!config.control.unlimited()) options.control = config.control;
+    if (resume != nullptr) options.resume = resume;
+    return options;
+  };
+  switch (config.algorithm) {
+    case Algorithm::kOneGreedy: {
+      // Same knobs as kRGreedy (threads, memoization, lazy CELF, subset
+      // cap) with r forced to 1.
+      RGreedyOptions options = with_run_inputs(config.r_greedy);
+      options.r = 1;
+      return RGreedy(graph, config.space_budget, options);
+    }
+    case Algorithm::kRGreedy:
+      return RGreedy(graph, config.space_budget,
+                     with_run_inputs(config.r_greedy));
+    case Algorithm::kInnerLevel:
+      return InnerLevelGreedy(graph, config.space_budget,
+                              with_run_inputs(config.inner_greedy));
+    case Algorithm::kTwoStep:
+      return TwoStep(graph, config.space_budget, config.two_step);
+    case Algorithm::kHruViewsOnly:
+      return HruViewGreedy(graph, config.space_budget);
+    case Algorithm::kOptimal:
+      return BranchAndBoundOptimal(graph, config.space_budget,
+                                   config.optimal);
+  }
+  return SelectionResult::Rejected(
+      Status::InvalidArgument("unknown selection algorithm"));
+}
+
 Recommendation Advisor::Recommend(const AdvisorConfig& config) const {
   const bool greedy = config.algorithm == Algorithm::kOneGreedy ||
                       config.algorithm == Algorithm::kRGreedy ||
@@ -172,46 +208,8 @@ Recommendation Advisor::Recommend(const AdvisorConfig& config) const {
     resume_ptr = &resume;
   }
 
-  SelectionResult result;
-  switch (config.algorithm) {
-    case Algorithm::kOneGreedy: {
-      // Same knobs as kRGreedy (threads, memoization, lazy CELF, subset
-      // cap) with r forced to 1; a default-constructed options object
-      // here used to silently drop config.r_greedy.num_threads & co.
-      RGreedyOptions options = config.r_greedy;
-      options.r = 1;
-      if (!config.control.unlimited()) options.control = config.control;
-      if (resume_ptr != nullptr) options.resume = resume_ptr;
-      result = RGreedy(cube_graph_.graph, config.space_budget, options);
-      break;
-    }
-    case Algorithm::kRGreedy: {
-      RGreedyOptions options = config.r_greedy;
-      if (!config.control.unlimited()) options.control = config.control;
-      if (resume_ptr != nullptr) options.resume = resume_ptr;
-      result = RGreedy(cube_graph_.graph, config.space_budget, options);
-      break;
-    }
-    case Algorithm::kInnerLevel: {
-      InnerGreedyOptions options = config.inner_greedy;
-      if (!config.control.unlimited()) options.control = config.control;
-      if (resume_ptr != nullptr) options.resume = resume_ptr;
-      result = InnerLevelGreedy(cube_graph_.graph, config.space_budget,
-                                options);
-      break;
-    }
-    case Algorithm::kTwoStep:
-      result = TwoStep(cube_graph_.graph, config.space_budget,
-                       config.two_step);
-      break;
-    case Algorithm::kHruViewsOnly:
-      result = HruViewGreedy(cube_graph_.graph, config.space_budget);
-      break;
-    case Algorithm::kOptimal:
-      result = BranchAndBoundOptimal(cube_graph_.graph, config.space_budget,
-                                     config.optimal);
-      break;
-  }
+  SelectionResult result =
+      RunAlgorithm(cube_graph_.graph, config, resume_ptr);
   if (!result.status.ok() && !result.status.IsInterruption()) {
     // Rejected input (bad checkpoint, non-finalized graph, injected
     // fault): nothing to report beyond the status.

@@ -64,6 +64,14 @@ struct AdvisorConfig {
   const SelectionCheckpoint* resume = nullptr;
 };
 
+// Runs config.algorithm on `graph` at config.space_budget with that
+// algorithm's options. For the greedy algorithms a limited config.control
+// and a non-null `resume` replace the options' own; the others ignore
+// both (the advisors reject such configs before calling this).
+SelectionResult RunAlgorithm(const QueryViewGraph& graph,
+                             const AdvisorConfig& config,
+                             const ResumePicks* resume);
+
 // One recommended structure, in pick order.
 struct RecommendedStructure {
   AttributeSet view;

@@ -1,6 +1,7 @@
-// Shared instrumentation for the selection cores (r_greedy.cc,
-// inner_greedy.cc): the metric names and the aggregation points, so the
-// eager, lazy, and inner-level loops report identically-named metrics.
+// Shared instrumentation for the selection cores: the metric names and
+// the aggregation point, called from stage_driver::FinishRun so the shared
+// stage loop (eager r-greedy, inner-level) and the lazy 1-greedy heap
+// report identically-named metrics.
 //
 // Everything is recorded once per run from the totals and per-stage
 // vectors the result already tracks: the hot loops gain no per-candidate
@@ -24,8 +25,7 @@ namespace olapidx::selection_metrics {
 // replayed checkpoint stages (which did no work in this call) — the
 // stage vectors already contain only this call's stages, including the
 // terminating no-winner probe. Kept out of line so the registry machinery
-// (static-init guards, shard lookups) never lands inside the callers'
-// stage loops.
+// (static-init guards, shard lookups) never lands inside the stage loops.
 [[gnu::noinline]] inline void RecordRun(const SelectionResult& result,
                                         uint64_t stages_this_call) {
   OLAPIDX_METRIC_COUNTER(runs, "selection.runs");

@@ -150,43 +150,8 @@ HRecommendation HierarchicalAdvisor::TryRecommend(
     resume_ptr = &resume_picks;
   }
 
-  SelectionResult result;
-  switch (config.algorithm) {
-    case Algorithm::kOneGreedy: {
-      RGreedyOptions options = config.r_greedy;
-      options.r = 1;
-      if (!config.control.unlimited()) options.control = config.control;
-      if (resume_ptr != nullptr) options.resume = resume_ptr;
-      result = RGreedy(cube_graph_.graph, config.space_budget, options);
-      break;
-    }
-    case Algorithm::kRGreedy: {
-      RGreedyOptions options = config.r_greedy;
-      if (!config.control.unlimited()) options.control = config.control;
-      if (resume_ptr != nullptr) options.resume = resume_ptr;
-      result = RGreedy(cube_graph_.graph, config.space_budget, options);
-      break;
-    }
-    case Algorithm::kInnerLevel: {
-      InnerGreedyOptions options = config.inner_greedy;
-      if (!config.control.unlimited()) options.control = config.control;
-      if (resume_ptr != nullptr) options.resume = resume_ptr;
-      result = InnerLevelGreedy(cube_graph_.graph, config.space_budget,
-                                options);
-      break;
-    }
-    case Algorithm::kTwoStep:
-      result = TwoStep(cube_graph_.graph, config.space_budget,
-                       config.two_step);
-      break;
-    case Algorithm::kHruViewsOnly:
-      result = HruViewGreedy(cube_graph_.graph, config.space_budget);
-      break;
-    case Algorithm::kOptimal:
-      result = BranchAndBoundOptimal(cube_graph_.graph,
-                                     config.space_budget, config.optimal);
-      break;
-  }
+  SelectionResult result =
+      RunAlgorithm(cube_graph_.graph, config, resume_ptr);
   if (!result.status.ok() && !result.status.IsInterruption()) {
     return RejectedRecommendation(std::move(result.status));
   }
