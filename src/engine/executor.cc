@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <ostream>
 #include <string>
 
 #include "common/fault_injection.h"
@@ -60,6 +61,14 @@ PlannedAccess PlanAccess(const Catalog& catalog, const SliceQuery& query) {
     }
   }
   return plan;
+}
+
+void PrintTo(GroupKeys::Row row, std::ostream* os) {
+  *os << '{';
+  for (size_t i = 0; i < row.size(); ++i) {
+    *os << (i == 0 ? "" : ", ") << row[i];
+  }
+  *os << '}';
 }
 
 Executor::Executor(const Catalog* catalog) : catalog_(catalog) {

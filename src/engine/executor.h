@@ -6,8 +6,10 @@
 #ifndef OLAPIDX_ENGINE_EXECUTOR_H_
 #define OLAPIDX_ENGINE_EXECUTOR_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -51,14 +53,60 @@ struct PlannedAccess {
 // stable sort front.
 PlannedAccess PlanAccess(const Catalog& catalog, const SliceQuery& query);
 
+// The group keys of a GroupedResult as one row-major matrix: row r holds
+// group r's values, one per group-by attribute. keys[r] is a read-only
+// view of row r that compares and indexes like a vector; it points into
+// the matrix and is valid while the matrix lives unchanged.
+class GroupKeys {
+ public:
+  class Row {
+   public:
+    Row(const uint32_t* values, size_t width)
+        : values_(values), width_(width) {}
+    size_t size() const { return width_; }
+    uint32_t operator[](size_t i) const { return values_[i]; }
+    const uint32_t* begin() const { return values_; }
+    const uint32_t* end() const { return values_ + width_; }
+    friend bool operator==(Row a, Row b) {
+      return std::equal(a.begin(), a.end(), b.begin(), b.end());
+    }
+
+   private:
+    const uint32_t* values_;
+    size_t width_;
+  };
+
+  GroupKeys() = default;
+  // `rows` zeroed rows of `width` values each.
+  GroupKeys(size_t width, size_t rows)
+      : width_(width), rows_(rows), values_(width * rows) {}
+
+  size_t size() const { return rows_; }
+  Row operator[](size_t row) const {
+    return Row(values_.data() + row * width_, width_);
+  }
+  uint32_t* MutableRow(size_t row) { return values_.data() + row * width_; }
+
+  friend bool operator==(const GroupKeys& a,
+                         const GroupKeys& b) = default;
+
+ private:
+  size_t width_ = 0;
+  size_t rows_ = 0;  // kept apart from values_: a grand total has width 0
+  std::vector<uint32_t> values_;
+};
+
+// Prints a key row as "{v0, v1, ...}" in test failure messages.
+void PrintTo(GroupKeys::Row row, std::ostream* os);
+
 // A group-by result: one row per group, sorted by group key. Carries the
 // full distributive aggregate state per group; `sums` mirrors the SUM
 // values for convenience, and Value(row, kind) answers any AggregateKind.
 struct GroupedResult {
-  std::vector<int> group_attrs;             // ascending attribute ids
-  std::vector<std::vector<uint32_t>> keys;  // [row] parallel to group_attrs
+  std::vector<int> group_attrs;            // ascending attribute ids
+  GroupKeys keys;                          // [row] parallel to group_attrs
   std::vector<double> sums;
-  std::vector<AggregateState> aggregates;   // parallel to keys
+  std::vector<AggregateState> aggregates;  // parallel to keys
 
   size_t num_rows() const { return sums.size(); }
   double Value(size_t row, AggregateKind kind) const {

@@ -1,8 +1,6 @@
 #include "engine/materialized_view.h"
 
-#include <algorithm>
-#include <unordered_map>
-
+#include "engine/group_table.h"
 #include "engine/key_codec.h"
 
 namespace olapidx {
@@ -22,31 +20,23 @@ template <typename DimFn, typename StateFn>
 void MaterializedView::Aggregate(size_t rows, DimFn&& dim_of,
                                  StateFn&& state_of) {
   KeyCodec codec(schema_, attr_list_);
-  std::unordered_map<uint64_t, AggregateState> groups;
-  groups.reserve(rows);
+  GroupTable groups;
   std::vector<uint32_t> dims(
       static_cast<size_t>(schema_.num_dimensions()), 0);
   for (size_t r = 0; r < rows; ++r) {
     for (int a : attr_list_) {
       dims[static_cast<size_t>(a)] = dim_of(r, a);
     }
-    groups[codec.EncodeRow(dims)].Merge(state_of(r));
+    groups.Merge(codec.EncodeRow(dims), state_of(r));
   }
-  std::vector<uint64_t> keys;
-  keys.reserve(groups.size());
-  for (const auto& [key, state] : groups) {
-    (void)state;
-    keys.push_back(key);
-  }
-  std::sort(keys.begin(), keys.end());
-  for (auto& col : columns_) col.reserve(keys.size());
-  states_.reserve(keys.size());
-  for (uint64_t key : keys) {
+  for (auto& col : columns_) col.reserve(groups.size());
+  states_.reserve(groups.size());
+  groups.ForEachSorted([&](uint64_t key, const AggregateState& state) {
     for (size_t i = 0; i < attr_list_.size(); ++i) {
       columns_[i].push_back(codec.Decode(key, static_cast<int>(i)));
     }
-    states_.push_back(groups.find(key)->second);
-  }
+    states_.push_back(state);
+  });
 }
 
 MaterializedView MaterializedView::FromFactTable(const FactTable& fact,
@@ -84,85 +74,69 @@ size_t MaterializedView::ApplyDelta(const FactTable& fact, size_t begin_row,
 
   // Aggregate the delta.
   KeyCodec codec(schema_, attr_list_);
-  std::unordered_map<uint64_t, AggregateState> delta;
+  GroupTable delta;
   std::vector<uint32_t> dims(
       static_cast<size_t>(schema_.num_dimensions()), 0);
   for (size_t r = begin_row; r < end_row; ++r) {
     for (int a : attr_list_) {
       dims[static_cast<size_t>(a)] = fact.dim(r, a);
     }
-    delta[codec.EncodeRow(dims)].Merge(
-        AggregateState::OfMeasure(fact.measure(r)));
+    delta.Merge(codec.EncodeRow(dims),
+                AggregateState::OfMeasure(fact.measure(r)));
   }
 
-  // Merge existing groups in place; collect genuinely new keys.
+  // The view's rows are sorted by encoded key; encode each row once.
+  std::vector<uint64_t> row_keys(num_rows());
+  for (size_t row = 0; row < num_rows(); ++row) {
+    for (size_t i = 0; i < attr_list_.size(); ++i) {
+      dims[static_cast<size_t>(attr_list_[i])] = columns_[i][row];
+    }
+    row_keys[row] = codec.EncodeRow(dims);
+  }
+
+  // Walk the sorted delta against the sorted rows: merge existing groups
+  // in place and collect genuinely new ones, already in key order.
   size_t touched = 0;
+  size_t row = 0;
   std::vector<uint64_t> new_keys;
-  for (auto& [key, state] : delta) {
-    // Binary search over the sorted rows via the encoded key.
-    size_t lo = 0, hi = num_rows();
-    bool found = false;
-    while (lo < hi) {
-      size_t mid = (lo + hi) / 2;
-      std::vector<uint32_t> dims_mid(
-          static_cast<size_t>(schema_.num_dimensions()), 0);
-      for (int a : attr_list_) {
-        dims_mid[static_cast<size_t>(a)] = dim(mid, a);
-      }
-      uint64_t mid_key = codec.EncodeRow(dims_mid);
-      if (mid_key == key) {
-        states_[mid].Merge(state);
-        found = true;
-        ++touched;
-        break;
-      }
-      if (mid_key < key) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
+  std::vector<AggregateState> new_states;
+  delta.ForEachSorted([&](uint64_t key, const AggregateState& state) {
+    while (row < row_keys.size() && row_keys[row] < key) ++row;
+    if (row < row_keys.size() && row_keys[row] == key) {
+      states_[row].Merge(state);
+    } else {
+      new_keys.push_back(key);
+      new_states.push_back(state);
     }
-    if (!found) new_keys.push_back(key);
-  }
+    ++touched;
+  });
+  if (new_keys.empty()) return touched;
 
-  if (!new_keys.empty()) {
-    // Append the new groups, then re-sort all rows by key.
-    std::sort(new_keys.begin(), new_keys.end());
-    for (uint64_t key : new_keys) {
-      for (size_t i = 0; i < attr_list_.size(); ++i) {
-        columns_[i].push_back(codec.Decode(key, static_cast<int>(i)));
-      }
-      states_.push_back(delta.find(key)->second);
-      ++touched;
-    }
-    std::vector<size_t> order(num_rows());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    auto key_of = [&](size_t row) {
-      std::vector<uint32_t> dims_row(
-          static_cast<size_t>(schema_.num_dimensions()), 0);
-      for (int a : attr_list_) {
-        dims_row[static_cast<size_t>(a)] = dim(row, a);
-      }
-      return codec.EncodeRow(dims_row);
-    };
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return key_of(a) < key_of(b);
-    });
-    std::vector<std::vector<uint32_t>> new_columns(columns_.size());
-    std::vector<AggregateState> new_states;
-    new_states.reserve(states_.size());
-    for (size_t i = 0; i < columns_.size(); ++i) {
-      new_columns[i].reserve(columns_[i].size());
-    }
-    for (size_t row : order) {
+  // Merge the new groups into the rows, keeping them sorted by key.
+  const size_t total = num_rows() + new_keys.size();
+  std::vector<std::vector<uint32_t>> merged_columns(columns_.size());
+  for (auto& col : merged_columns) col.reserve(total);
+  std::vector<AggregateState> merged_states;
+  merged_states.reserve(total);
+  size_t old_row = 0;
+  size_t fresh = 0;
+  while (old_row < row_keys.size() || fresh < new_keys.size()) {
+    if (fresh == new_keys.size() ||
+        (old_row < row_keys.size() && row_keys[old_row] < new_keys[fresh])) {
       for (size_t i = 0; i < columns_.size(); ++i) {
-        new_columns[i].push_back(columns_[i][row]);
+        merged_columns[i].push_back(columns_[i][old_row]);
       }
-      new_states.push_back(states_[row]);
+      merged_states.push_back(states_[old_row++]);
+    } else {
+      for (size_t i = 0; i < columns_.size(); ++i) {
+        merged_columns[i].push_back(
+            codec.Decode(new_keys[fresh], static_cast<int>(i)));
+      }
+      merged_states.push_back(new_states[fresh++]);
     }
-    columns_ = std::move(new_columns);
-    states_ = std::move(new_states);
   }
+  columns_ = std::move(merged_columns);
+  states_ = std::move(merged_states);
   return touched;
 }
 
