@@ -1,18 +1,17 @@
-// Experiments E14/E17 — breaking the n ≤ 8 wall. The dense cube graph
-// expands a full cost column per (view, query) and enumerates all m! fat
-// indexes per view: at dimension 8 the cost table alone is ~2 GB, and
-// 12–20 dimensions are out of reach entirely. This bench drives the
-// workload-pruned sparse path (core/sparse_cube_graph.h, streaming edge
-// sink on by default) with a sampled Zipf workload across dims
-// 10/12/16/20 — build wall time, peak build memory (graph_build.peak_bytes
-// model: edge-run sink + finalize scratch + cost table), pruning telemetry
-// (including views dropped by the --max-views cap), and a beam-limited
-// inner-level greedy selection with its a-posteriori guarantee — and
-// closes with a dense-vs-sparse peak-memory comparison at dimension 8
-// (the last dim both paths can build), reported as the
-// "peak_reduction_dim8" scalar. --peak-budget-mib=M turns the bench into
-// an assertion: exit 1 if any sparse build's peak exceeds M MiB (the CI
-// bench-smoke memory-regression gate).
+// Experiments E14/E17 — breaking the n ≤ 8 wall. The full-lattice cube
+// graph keeps all 2^n views and enumerates all m! fat indexes per view,
+// so 12–20 dimensions are out of reach entirely. This bench drives the
+// workload-pruned sparse path (core/sparse_cube_graph.h) with a sampled
+// Zipf workload across dims 10/12/16/20 — build wall time, peak build
+// memory (graph_build.peak_bytes model: edge sink + finalize scratch +
+// cost tables), pruning telemetry (including views dropped by the
+// --max-views cap), and a beam-limited inner-level greedy selection with
+// its a-posteriori guarantee — and closes with a full-lattice vs pruned
+// peak-memory comparison at dimension 8 (the last dim both paths can
+// build), reported as the "peak_reduction_dim8" scalar.
+// --peak-budget-mib=M turns the bench into an assertion: exit 1 if any
+// sparse build's peak exceeds M MiB (the CI bench-smoke memory-regression
+// gate).
 //
 //   bench_sparse_scale [--json[=FILE]] [--max-dim=20] [--queries=600]
 //                      [--skew=1.1] [--beam=64] [--peak-budget-mib=M]
@@ -111,10 +110,11 @@ uint64_t RunSparseDim(bench::BenchJsonReporter& rep, int n,
   return sparse.stats.build.peak_bytes;
 }
 
-// Dense vs sparse peak build memory at dimension 8, full 3^8 workload.
-// The dense peak comes from the graph_build.peak_bytes gauge when metrics
-// are compiled in; the cost-table size is the metrics-off fallback (it
-// understates the dense peak, so the reported reduction is conservative).
+// Full-lattice vs pruned peak build memory at dimension 8, full 3^8
+// workload. The full-lattice peak comes from the graph_build.peak_bytes
+// gauge when metrics are compiled in; the cost-table size is the
+// metrics-off fallback (it understates the peak, so the reported
+// reduction is conservative). The JSON keys keep their dense/sparse names.
 double PeakReductionDim8(bench::BenchJsonReporter& rep) {
   CubeSchema schema = MakeSchema(8);
   ViewSizes sizes = AnalyticalViewSizes(schema, 20e6);
@@ -160,8 +160,8 @@ double PeakReductionDim8(bench::BenchJsonReporter& rep) {
   rep.AddRun(std::move(row));
   rep.AddScalar("peak_reduction_dim8", reduction);
 
-  std::printf("\ndim 8, full 3^8 workload: dense peak %.1f MiB, sparse "
-              "peak %.1f MiB -> %.1fx reduction\n",
+  std::printf("\ndim 8, full 3^8 workload: full lattice peak %.1f MiB, "
+              "pruned peak %.1f MiB -> %.1fx reduction\n",
               MiB(dense_peak), MiB(sparse_peak), reduction);
   return reduction;
 }

@@ -87,7 +87,7 @@ struct CubeLatticeProvider {
     if (v == 0) return 0;  // the apex view has no indexes
     // A query's index costs from view C depend only on B ∩ C (every prefix
     // E is a subset of C), so queries agreeing on that intersection share
-    // one dense column; tag runs with it so Finalize() expands each
+    // one cost column; tag runs with it so the graph stores each
     // distinct column once per view.
     return (ctx.sel & v) + 1;
   }

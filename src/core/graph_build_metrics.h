@@ -30,15 +30,11 @@ struct BuildStats {
   uint64_t enumerate_micros = 0;
   uint64_t finalize_micros = 0;
   uint64_t total_micros = 0;
-  // Allocation accounting (not RSS): bytes of EdgeRuns emitted across all
-  // shards (buffered at once in buffered mode, total streamed in streaming
-  // mode), bytes of the finalized per-view cost tables, Finalize()'s
-  // scratch high-water (class-id maps, query stamps, transient prototype
-  // expansion), the sum of the shards' spill-buffer high-waters (streaming
-  // mode only), and the modeled peak. Buffered: Finalize() holds the
-  // counting-sorted run copy alongside either the draining shard batches
-  // or the growing cost tables + scratch, whichever is larger. Streaming:
-  // the sink's tracked high-water plus the shard windows.
+  // Allocation accounting (not RSS): bytes of EdgeRuns streamed into the
+  // edge sink across all shards, bytes of the finalized per-view cost
+  // tables, Finalize()'s scratch high-water (sort permutations and column
+  // maps), the sum of the shards' spill-window high-waters, and the
+  // modeled peak: the sink's tracked high-water plus the shard windows.
   uint64_t edge_run_bytes = 0;
   uint64_t cost_table_bytes = 0;
   uint64_t finalize_scratch_bytes = 0;

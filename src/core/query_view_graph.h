@@ -11,6 +11,21 @@
 // The algorithms' correctness does not depend on where the costs come from:
 // graphs can be built from a cube lattice + cost model (core/cube_graph.h)
 // or assembled by hand (Example 5.1, adversarial instances, tests).
+//
+// Ingestion: every edge, built or hand-added, goes through one sink. The
+// lattice builder drains its shard buffers into ConsumeEdgeRuns() as it
+// enumerates; AddViewEdge / AddIndexEdge / AddIndexEdgeRun buffer a small
+// batch and feed the same sink. The sink accumulates per-view state that
+// does not depend on batch boundaries or arrival order, so Finalize()
+// produces the same graph (same Fingerprint()) for any interleaving.
+//
+// Storage: queries whose index-cost columns at a view are identical share
+// one prototype column. Each view keeps its prototypes k-major
+// (col_protos[k * num_cols + col]) with a trailing all-infinite column
+// that stands for "no index edge", plus a position → column map, so
+// IndexCostAt() is one gather with no branch. Memory is
+// O(indexes · distinct columns + queries) per view instead of
+// O(indexes · queries).
 
 #ifndef OLAPIDX_CORE_QUERY_VIEW_GRAPH_H_
 #define OLAPIDX_CORE_QUERY_VIEW_GRAPH_H_
@@ -54,12 +69,12 @@ struct EdgeRun {
   int32_t index_begin = StructureRef::kNoIndex;
   int32_t index_end = StructureRef::kNoIndex;  // exclusive; ignored for views
   double cost = 0.0;
-  // Column-equivalence class id, a small dense integer. Within one view,
-  // index runs carrying the same non-zero col_class promise the *same*
-  // dense index-cost column (the cube builder uses selection-mask ∩ view
-  // + 1: query cost depends only on that intersection), so Finalize()
-  // expands one prototype per class instead of one column per query. 0
-  // means "no sharing" — the run only contributes to its own query.
+  // Column-equivalence class id. Within one view, index runs carrying the
+  // same non-zero col_class promise the *same* index-cost column (the cube
+  // builder uses selection-mask ∩ view + 1: query cost depends only on
+  // that intersection), so the graph stores one prototype column per class
+  // instead of one per query. 0 means "no sharing" — the run only
+  // contributes to its own query's column. A query uses one class per view.
   uint32_t col_class = 0;
 };
 
@@ -68,7 +83,7 @@ class QueryViewGraph {
   static constexpr double kInfiniteCost =
       std::numeric_limits<double>::infinity();
 
-  // Out of line: the streaming sink state is an incomplete type here.
+  // Out of line: the edge sink state is an incomplete type here.
   QueryViewGraph();
   QueryViewGraph(QueryViewGraph&&) noexcept;
   QueryViewGraph& operator=(QueryViewGraph&&) noexcept;
@@ -108,6 +123,10 @@ class QueryViewGraph {
   void AddIndexesNamed(uint32_t view, int32_t count, double space_each,
                        double maintenance_each = 0.0);
 
+  // Hand-built edges. Each is validated here and fed to the edge sink in
+  // batches; duplicates and out-of-order edges are fine (the cheapest
+  // label wins).
+  //
   // Cost of answering `query` from `view` with no index (k = 0 edge).
   void AddViewEdge(uint32_t query, uint32_t view, double cost);
   // Cost of answering `query` from `view` with its `index`-th index.
@@ -116,41 +135,35 @@ class QueryViewGraph {
   // One cost for every index k ∈ [index_begin, index_end) of `view`.
   void AddIndexEdgeRun(uint32_t query, uint32_t view, int32_t index_begin,
                        int32_t index_end, double cost);
-  // Appends a whole shard buffer of runs (view edges use
-  // index_begin == kNoIndex). Batches are kept intact and merged by
-  // Finalize(); each is validated here and freed as soon as its runs have
-  // been scattered into the per-view tables.
-  void AddEdgeRuns(std::vector<EdgeRun> runs);
 
-  // ---- Streaming construction (bounded-memory builder path) ----
+  // ---- The edge sink ----
   //
-  // BeginStreamingEdges() switches edge ingestion from buffer-everything
-  // (AddEdgeRuns + Finalize merge) to a bounded sink: ConsumeEdgeRuns()
-  // drains each shard buffer straight into per-view accumulation state —
-  // the future query lists, view-cost columns, and per-class prototype
-  // columns — so peak memory during construction is the finished tables
-  // plus the in-flight shard windows, not every EdgeRun at once. The
-  // accumulation is order-independent (duplicate labels min-merge; each
-  // class's prototype is owned by its lowest query id and rebuilt if a
-  // lower owner arrives), so any flush interleaving finalizes into a graph
-  // bit-identical to the buffered path — the equivalence tests pin this.
+  // ConsumeEdgeRuns() drains a buffer of runs (view edges use
+  // index_begin == kNoIndex) straight into per-view accumulation state —
+  // the future query lists, view-cost columns, and one prototype column
+  // per (view, col_class) — so peak memory during construction is the
+  // accumulated tables plus the callers' in-flight buffers, not every
+  // EdgeRun at once. col_class == 0 runs are kept per view and resolved
+  // into one column per query by Finalize(), after a sort.
   //
-  // Contract: call after every AddView / AddIndexes* / AddQuery and before
-  // Finalize(); a query's runs for one view must all arrive within a
-  // single ConsumeEdgeRuns() call (the builder flushes only at query
-  // boundaries). Streaming and buffered ingestion are mutually exclusive.
-  void BeginStreamingEdges();
-  bool streaming_edges() const { return stream_ != nullptr; }
-  // Thread-safe; drains and clears `runs`, keeping its capacity for reuse.
+  // The accumulation is order-independent: duplicate labels min-merge,
+  // each class's prototype is owned by its lowest query id (rebuilt if a
+  // lower owner arrives), repeated (query, view) entries merge in
+  // Finalize(), and columns are numbered by ascending owner. So any
+  // split of the runs into batches, in any batch order and from any
+  // number of threads, finalizes into the same graph.
+  //
+  // Call after every AddView / AddIndexes* / AddQuery and before
+  // Finalize(). Thread-safe; drains and clears `runs`, keeping its
+  // capacity for reuse.
   void ConsumeEdgeRuns(std::vector<EdgeRun>& runs);
   // High-water mark (bytes) of the sink state, including in-flight batches
-  // and the Finalize() conversion into the final tables. 0 in buffered
-  // mode.
+  // and the Finalize() conversion into the final tables.
   uint64_t StreamingPeakBytes() const;
 
-  // Scratch high-water of the last Finalize(): class-id dedup maps, query
-  // stamps, and the per-view transient prototype expansion — the part of
-  // the true build peak graph_build.peak_bytes historically missed.
+  // Scratch high-water of the last Finalize(): the per-view sort
+  // permutations and column maps — the part of the true build peak that
+  // the sink state and finished tables do not cover.
   uint64_t FinalizeScratchBytes() const { return finalize_scratch_bytes_; }
 
   // Optional maintenance (refresh) cost charged once when the structure is
@@ -167,22 +180,8 @@ class QueryViewGraph {
                      .index_maintenance[static_cast<size_t>(s.index)];
   }
 
-  // Sparse storage mode: keep one prototype cost column per column class
-  // plus a position→class map instead of expanding the dense k-major
-  // index-cost table in Finalize(). IndexCostAt() then resolves through
-  // one extra indirection but returns bit-identical values — the dense
-  // table is itself expanded from exactly these prototypes. Memory drops
-  // from O(ni · nq) to O(ni · #classes + nq) doubles per view, which is
-  // what makes dimension 12–20 builds fit in memory. Must be called
-  // before Finalize().
-  void SetCompressedCostColumns(bool on = true) {
-    OLAPIDX_CHECK(!finalized_);
-    compressed_ = on;
-  }
-  bool compressed_cost_columns() const { return compressed_; }
-
-  // Compacts edges into per-view dense cost tables. Must be called exactly
-  // once, before any algorithm runs.
+  // Converts the sink state into the per-view cost tables. Must be called
+  // exactly once, before any algorithm runs.
   void Finalize();
   bool finalized() const { return finalized_; }
 
@@ -191,8 +190,8 @@ class QueryViewGraph {
   // costs, query default costs and frequencies, and every finalized cost
   // table, mixed word-at-a-time (FNV-1a over the 64-bit bit patterns, so
   // it is bit-exact across platforms for identical doubles). Two graphs
-  // built from the same schema, sizes, workload, and options — in the same
-  // storage mode (dense vs compressed columns) — hash identically; any
+  // built from the same schema, sizes, workload, and options hash
+  // identically, whatever the thread count or edge arrival order; any
   // drift in inputs changes the fingerprint. Checkpoints are stamped with
   // this value so a resume against a different graph is rejected instead
   // of silently resolving picks against the wrong costs. Requires
@@ -200,8 +199,8 @@ class QueryViewGraph {
   // checkpoint files).
   uint64_t Fingerprint() const;
 
-  // Bytes held by the finalized per-view cost tables (dense k-major tables
-  // or compressed prototypes, view-cost columns, and query lists). The
+  // Bytes held by the finalized per-view cost tables (prototype columns,
+  // position → column maps, view-cost columns, and query lists). The
   // dominant term of the graph's resident footprint; feeds the
   // graph_build.peak_bytes gauge.
   uint64_t CostTableBytes() const;
@@ -279,20 +278,14 @@ class QueryViewGraph {
   double ViewCostAt(uint32_t v, size_t pos) const {
     return views_[v].view_cost[pos];
   }
-  // Cost of answering ViewQueries(v)[pos] from v with index k. Dense mode
-  // reads the k-major table; compressed mode resolves pos → column class →
-  // prototype, yielding the same double (the dense table is expanded from
-  // the prototypes).
+  // Cost of answering ViewQueries(v)[pos] from v with index k
+  // (kInfiniteCost if there is no such edge): pos → prototype column →
+  // the column's k-th cost. A query with no index edge at v maps to the
+  // all-infinite sentinel column.
   double IndexCostAt(uint32_t v, int32_t k, size_t pos) const {
     const ViewData& vd = views_[v];
-    if (!vd.index_cost.empty()) {
-      return vd.index_cost[static_cast<size_t>(k) * vd.queries.size() + pos];
-    }
-    const int32_t pid = vd.col_of_pos.empty() ? -1 : vd.col_of_pos[pos];
-    return pid < 0 ? kInfiniteCost
-                   : vd.col_protos[static_cast<size_t>(pid) *
-                                       vd.index_spaces.size() +
-                                   static_cast<size_t>(k)];
+    return vd.col_protos[static_cast<size_t>(k) * vd.num_cols +
+                         vd.col_of_pos[pos]];
   }
 
  private:
@@ -307,32 +300,24 @@ class QueryViewGraph {
     std::vector<double> index_spaces;
     std::vector<double> index_maintenance;
     // Populated by Finalize():
-    std::vector<uint32_t> queries;   // queries with any edge to this view
-    std::vector<double> view_cost;   // parallel to `queries`
-    std::vector<double> index_cost;  // dense mode: [k * queries.size() + pos]
-    // Compressed mode (index_cost stays empty): one prototype column per
-    // distinct column class, pid-major [pid * num_indexes + k], plus the
-    // position→class map (-1 = no index edges for that query).
+    std::vector<uint32_t> queries;  // queries with any edge to this view
+    std::vector<double> view_cost;  // parallel to `queries`
+    // Prototype index-cost columns, k-major [k * num_cols + col]; the last
+    // column is the all-infinite "no index edge" sentinel.
     std::vector<double> col_protos;
-    std::vector<int32_t> col_of_pos;
+    std::vector<uint32_t> col_of_pos;  // parallel to `queries`
+    uint32_t num_cols = 1;             // prototype columns + sentinel
   };
   struct QueryData {
     std::string name;
     double default_cost = 0.0;
     double frequency = 1.0;
   };
-  struct PendingEdge {
-    uint32_t query;
-    uint32_t view;
-    int32_t index;  // StructureRef::kNoIndex for a view edge
-    double cost;
-  };
-
   struct StreamView;
   struct StreamState;
 
   void ValidateRun(const EdgeRun& run) const;
-  void FinalizeStreaming();
+  void AddHandBuiltRun(const EdgeRun& run);
   void BuildQueryViews();
 
   std::vector<ViewData> views_;
@@ -340,15 +325,12 @@ class QueryViewGraph {
   std::vector<std::string> attr_names_;             // for lazy index names
   std::function<std::string(uint32_t, int32_t)> index_namer_;
   std::vector<std::vector<uint32_t>> query_views_;  // built by Finalize()
-  std::vector<PendingEdge> pending_;
-  std::vector<EdgeRun> loose_runs_;                 // AddIndexEdgeRun
-  std::vector<std::vector<EdgeRun>> run_batches_;   // AddEdgeRuns shards
-  std::unique_ptr<StreamState> stream_;             // BeginStreamingEdges
+  std::vector<EdgeRun> pending_;         // hand-built edges not yet sunk
+  std::unique_ptr<StreamState> stream_;  // the edge sink; freed by Finalize
   uint64_t streaming_peak_bytes_ = 0;
   uint64_t finalize_scratch_bytes_ = 0;
   uint32_t num_structures_ = 0;
   bool finalized_ = false;
-  bool compressed_ = false;
 };
 
 }  // namespace olapidx

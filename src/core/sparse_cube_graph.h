@@ -2,9 +2,10 @@
 // breaks the n ≤ 8 wall of the dense cube graph (core/cube_graph.h).
 //
 // The dense builder enumerates all 2^n views, each with all m! fat indexes,
-// and expands a dense cost column per (view, query) — at n = 8 that is
-// already a multi-GB table, and n = 12–20 is out of reach. This path scales
-// to kMaxDimensions (20) by pruning on three axes before any edge exists:
+// and walks every (view, query) pair — at n = 8 that is ~110k indexes
+// against 3^8 = 6561 queries, and n = 12–20 is out of reach. This path
+// scales to kMaxDimensions (20) by pruning on three axes before any edge
+// exists:
 //
 //   1. Queries: keep only the queries carrying non-negligible frequency
 //      mass (a mass threshold and/or a top-k cap over the explicit
@@ -24,10 +25,11 @@
 //      candidate family preserves exactly the per-query best costs the
 //      full m! family would offer, at O(|W|) keys per view.
 //
-// The graph is stored with compressed cost columns (one prototype column
-// per column class; see QueryViewGraph::SetCompressedCostColumns), so the
-// per-view tables stay proportional to the number of *distinct* columns,
-// not queries × indexes.
+// The graph stores one prototype cost column per column class (see
+// QueryViewGraph), so the per-view tables stay proportional to the number
+// of *distinct* columns, not queries × indexes; the builder streams its
+// edge runs into the graph's sink, so peak build memory is those tables
+// plus a few hundred KiB per enumeration shard.
 //
 // When nothing is pruned — full query set, query_mass = 1, no caps, and
 // every view within max_fat_dim — the result is bit-identical to
@@ -69,18 +71,6 @@ struct SparseCubeGraphOptions {
   // candidate index family instead of all m! fat indexes. Must be ≤ 8
   // (the fat-enumeration limit).
   int max_fat_dim = 6;
-
-  // Store compressed (prototype) cost columns instead of dense k-major
-  // tables. Off only for A/B comparisons; the values are identical.
-  bool compress_cost_columns = true;
-
-  // Streaming spill window per enumeration shard (bytes of buffered edge
-  // runs); see LatticeGraphOptions::sink_window_bytes. The default streams
-  // — peak build memory is bounded by the finished compressed tables plus
-  // a few hundred KiB per shard instead of scaling with retained-view ×
-  // class count. 0 buffers everything (the historical path); both settings
-  // build bit-identical graphs.
-  size_t sink_window_bytes = size_t{1} << 18;
 
   // Same meaning as in CubeGraphOptions.
   double default_query_cost = 0.0;

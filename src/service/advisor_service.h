@@ -71,10 +71,14 @@ struct ServiceOptions {
   // re-selections).
   CubeGraphOptions graph;
 
-  // Degraded path: sparse, workload-pruned build used when the dense build
-  // fails or its cost tables would exceed memory_ceiling_bytes, paired
-  // with beam-capped selection (degraded_beam_width) so the run finishes
-  // within the re-selection deadline.
+  // Degraded path: sparse, workload-pruned build used when the dense
+  // (full-lattice) build fails or its cost tables would exceed
+  // memory_ceiling_bytes, paired with beam-capped selection
+  // (degraded_beam_width) so the run finishes within the re-selection
+  // deadline. The ceiling is compared with the dense graph's
+  // QueryViewGraph::CostTableBytes(): its prototype cost columns, column
+  // maps, view costs and query lists (0.64 MiB for a dim-6 cube under
+  // its full 729-query slice workload).
   SparseCubeGraphOptions sparse;
   size_t degraded_beam_width = 16;
   uint64_t memory_ceiling_bytes = 1ull << 30;
@@ -279,8 +283,8 @@ class AdvisorService {
 
   AdvisorService(CubeSchema schema, ViewSizes sizes, ServiceOptions options);
 
-  // Builds an advisor for `workload`: dense first, sparse + compressed
-  // columns when the dense build fails or busts the memory ceiling.
+  // Builds an advisor for `workload`: dense first, the workload-pruned
+  // sparse build when the dense build fails or busts the memory ceiling.
   // *degraded reports which path was taken.
   StatusOr<Advisor> BuildAdvisor(const Workload& workload,
                                  bool* degraded) const;

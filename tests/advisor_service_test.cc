@@ -418,6 +418,61 @@ TEST_F(AdvisorServiceTest, CorruptJournalIsRejectedAsDataLoss) {
       << service.status().ToString();
 }
 
+// The dense → sparse rung: a dense graph whose cost tables exceed
+// memory_ceiling_bytes is replaced by the workload-pruned sparse build,
+// and a journaled restart rebuilds the same (degraded or dense) graph.
+TEST_F(AdvisorServiceTest, MemoryCeilingSelectsTheDegradedRung) {
+  SyntheticCube cube = UniformSyntheticCube(6, 8, 0.3);
+  Workload workload = AllSliceQueries(CubeLattice(cube.schema));
+  options_.base.space_budget = 0.25 * cube.sizes.TotalViewSpace();
+  // Prune the degraded build, so its graph differs from the dense one.
+  options_.sparse.top_queries = 200;
+  StatusOr<Advisor> dense =
+      Advisor::Create(cube.schema, cube.sizes, workload, options_.graph);
+  ASSERT_TRUE(dense.ok()) << dense.status().ToString();
+  const uint64_t dense_bytes = dense->cube_graph().graph.CostTableBytes();
+  ASSERT_GT(dense_bytes, 0u);
+
+  for (bool below : {true, false}) {
+    SCOPED_TRACE(below ? "ceiling below the dense tables"
+                       : "ceiling at the dense tables");
+    const std::string path = UseJournal(
+        below ? "olapidx_service_ceiling_below.journal"
+              : "olapidx_service_ceiling_at.journal");
+    options_.memory_ceiling_bytes = below ? dense_bytes - 1 : dense_bytes;
+    ServedSnapshot first;
+    {
+      StatusOr<std::unique_ptr<AdvisorService>> service =
+          AdvisorService::Create(cube.schema, cube.sizes, workload,
+                                 options_);
+      ASSERT_TRUE(service.ok()) << service.status().ToString();
+      first = (*service)->Snapshot();
+    }
+    EXPECT_EQ(first.degraded, below);
+    if (below) {
+      EXPECT_NE(first.graph_fingerprint, dense->graph_fingerprint());
+    } else {
+      EXPECT_EQ(first.graph_fingerprint, dense->graph_fingerprint());
+    }
+    // Restart from the journal: the same rung is rebuilt, and its graph
+    // matches the journaled fingerprint.
+    StatusOr<std::unique_ptr<AdvisorService>> restarted =
+        AdvisorService::Create(cube.schema, cube.sizes, workload, options_);
+    ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
+    ServedSnapshot after = (*restarted)->Snapshot();
+    EXPECT_EQ(after.degraded, below);
+    EXPECT_EQ(after.graph_fingerprint, first.graph_fingerprint);
+    ASSERT_EQ(after.recommendation.structures.size(),
+              first.recommendation.structures.size());
+    for (size_t i = 0; i < first.recommendation.structures.size(); ++i) {
+      EXPECT_EQ(after.recommendation.structures[i].name,
+                first.recommendation.structures[i].name);
+    }
+    restarted->reset();
+    std::remove(path.c_str());
+  }
+}
+
 TEST_F(AdvisorServiceTest, JournalFromDifferentCubeIsRejected) {
   UseJournal("olapidx_service_mismatch.journal");
   {

@@ -167,7 +167,7 @@ TEST(QueryViewGraphTest, FinalizeMergesDuplicateAndOutOfOrderEdges) {
 }
 
 TEST(QueryViewGraphTest, ShardMergedBatchesMatchDirectEdges) {
-  // The same edges delivered as two AddEdgeRuns shard batches (as the
+  // The same edges delivered as two ConsumeEdgeRuns shard batches (as the
   // parallel builder does) and as direct calls must finalize identically.
   auto build_direct = [] {
     QueryViewGraph g;
@@ -193,15 +193,18 @@ TEST(QueryViewGraphTest, ShardMergedBatchesMatchDirectEdges) {
     g.AddIndexes(v1, {IndexKey({0}), IndexKey({1})}, 2.0);
     g.AddQuery("Q0", 10.0);
     g.AddQuery("Q1", 10.0);
-    g.AddEdgeRuns({
+    std::vector<EdgeRun> batch = {
         EdgeRun{0, v0, StructureRef::kNoIndex, StructureRef::kNoIndex, 1.0},
         EdgeRun{0, v1, StructureRef::kNoIndex, StructureRef::kNoIndex, 2.0},
         EdgeRun{0, v1, 0, 2, 0.5},
-    });
-    g.AddEdgeRuns({
+    };
+    g.ConsumeEdgeRuns(batch);
+    EXPECT_TRUE(batch.empty());
+    batch = {
         EdgeRun{1, v1, StructureRef::kNoIndex, StructureRef::kNoIndex, 2.0},
         EdgeRun{1, v1, 1, 2, 0.25},
-    });
+    };
+    g.ConsumeEdgeRuns(batch);
     g.Finalize();
     return g;
   };
@@ -220,6 +223,7 @@ TEST(QueryViewGraphTest, ShardMergedBatchesMatchDirectEdges) {
   for (uint32_t q = 0; q < direct.num_queries(); ++q) {
     EXPECT_EQ(direct.QueryViews(q), sharded.QueryViews(q));
   }
+  EXPECT_EQ(direct.Fingerprint(), sharded.Fingerprint());
 }
 
 TEST(QueryViewGraphDeathTest, MixingEagerAndLazyIndexesRejected) {

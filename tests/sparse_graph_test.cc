@@ -4,8 +4,7 @@
 // The load-bearing contract: with nothing pruned (full query set,
 // query_mass = 1, no caps, every view within max_fat_dim) the sparse
 // build is *bit-identical* to TryBuildCubeGraph — same views, keys,
-// names, edges, and the exact same double divisions. Compressed cost
-// columns must be invisible through the accessors, and the candidate
+// names, edges, and the exact same double divisions. The candidate
 // index families of wide views must preserve every query's best
 // reachable cost.
 
@@ -116,25 +115,6 @@ TEST(SparseGraphEquivalenceTest, UnprunedFullWorkloadMatchesDense) {
                                 " threads=" + std::to_string(threads));
     }
   }
-}
-
-TEST(SparseGraphEquivalenceTest, CompressedColumnsInvisibleThroughAccessors) {
-  SyntheticCube cube = UniformSyntheticCube(5, 80, 0.05);
-  CubeLattice lattice(cube.schema);
-  Workload workload = ZipfSliceQueries(lattice, 1.1, 7);
-  SparseCubeGraphOptions compressed = UnprunedOptions(5, 1.5);
-  SparseCubeGraphOptions dense_cols = compressed;
-  dense_cols.compress_cost_columns = false;
-  StatusOr<SparseCubeGraph> a =
-      TryBuildSparseCubeGraph(cube.schema, cube.sizes, workload, compressed);
-  StatusOr<SparseCubeGraph> b =
-      TryBuildSparseCubeGraph(cube.schema, cube.sizes, workload, dense_cols);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_TRUE(a->cube.graph.compressed_cost_columns());
-  EXPECT_FALSE(b->cube.graph.compressed_cost_columns());
-  // Compression trades the k-major table for prototype columns.
-  EXPECT_LT(a->cube.graph.CostTableBytes(), b->cube.graph.CostTableBytes());
-  ExpectIdenticalGraphs(a->cube, b->cube, "compressed vs dense columns");
 }
 
 TEST(SparseGraphEquivalenceTest, CandidateFamiliesPreserveBestCosts) {
